@@ -248,6 +248,12 @@ func (c *Compiled) MappedEngine() (*exec.MappedEngine, error) {
 // and builds the mapped engine. The rewrite is bit-identical: the mapped
 // engine produces exactly the sequential engine's output streams.
 func (c *Compiled) MappedEngineOpts(opts RunOptions) (*exec.MappedEngine, error) {
+	me, _, err := c.mappedEngine(opts)
+	return me, err
+}
+
+// mappedEngine is MappedEngineOpts, also returning the plan it runs.
+func (c *Compiled) mappedEngine(opts RunOptions) (*exec.MappedEngine, *partition.ExecPlan, error) {
 	strat := opts.MapStrategy
 	if strat == "" {
 		strat = partition.StratCoarseData
@@ -258,28 +264,28 @@ func (c *Compiled) MappedEngineOpts(opts RunOptions) (*exec.MappedEngine, error)
 		MeasuredWorkNS: opts.MeasuredWorkNS,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	g2, err := ir.Flatten(plan.Program)
 	if err != nil {
-		return nil, fmt.Errorf("core: flattening mapped rewrite: %w", err)
+		return nil, nil, fmt.Errorf("core: flattening mapped rewrite: %w", err)
 	}
 	s2, err := sched.Compute(g2)
 	if err != nil {
-		return nil, fmt.Errorf("core: scheduling mapped rewrite: %w", err)
+		return nil, nil, fmt.Errorf("core: scheduling mapped rewrite: %w", err)
 	}
 	eopts := opts.execOptions()
 	if plan.Pipelined {
 		st, err := partition.PipelineStages(g2)
 		if err != nil {
-			return nil, fmt.Errorf("core: staging mapped rewrite: %w", err)
+			return nil, nil, fmt.Errorf("core: staging mapped rewrite: %w", err)
 		}
 		eopts.Stages = st.Levels
 		eopts.StageClusters = st.Clusters
 	}
 	me, err := exec.NewMappedOpts(g2, s2, plan.Assign(g2, s2), plan.Workers, eopts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Crash recovery re-packs the same rewritten graph onto the surviving
 	// workers; the rewrite itself is never redone (its fission factor — and
@@ -294,7 +300,7 @@ func (c *Compiled) MappedEngineOpts(opts RunOptions) (*exec.MappedEngine, error)
 	me.ReplanMeasured = func(workers int, perFiringNS map[string]int64) []int {
 		return plan.AssignMeasured(g2, s2, workers, perFiringNS)
 	}
-	return me, nil
+	return me, plan, nil
 }
 
 // MeasuredWorkFromMapped translates a work profile taken on a mapped

@@ -13,6 +13,7 @@ import (
 	"streamit/internal/ir"
 	"streamit/internal/obs"
 	"streamit/internal/sched"
+	"streamit/internal/vm"
 	"streamit/internal/wfunc"
 )
 
@@ -117,6 +118,9 @@ type MappedEngine struct {
 
 	nodes []*pnodeRT
 	order [][]*ir.Node // per-worker node lists in topological order
+	// progs[n.ID] is the node's compiled work program (nil: interpreter),
+	// compiled once per distinct work function and shared by every epoch.
+	progs []*vm.Program
 
 	// Steady-state topology, rebuilt by setup and by crash recovery:
 	// per-edge consumer queues, and for cross-worker edges a producer
@@ -310,6 +314,7 @@ func (c *workerCrash) Error() string {
 // initialization from scratch (restarting the stream); use
 // RunFromCheckpoint to resume a prior position instead.
 func (me *MappedEngine) Run(iters int) error {
+	defer me.dropPrograms()
 	if err := me.setup(); err != nil {
 		return err
 	}
@@ -325,7 +330,7 @@ func (me *MappedEngine) Run(iters int) error {
 // parallel engine), the steady topology is rebuilt, and the consumer
 // queues are seeded with the init residue (peek margins).
 func (me *MappedEngine) setup() error {
-	seq, err := NewFromGraph(me.G, me.Sch)
+	seq, err := me.initEngine()
 	if err != nil {
 		return err
 	}
@@ -372,6 +377,22 @@ func (me *MappedEngine) setup() error {
 	me.lastImg = nil
 	me.ready = true
 	return nil
+}
+
+// dropPrograms releases the compiled work programs at the end of a run,
+// so an idle engine holds no bytecode; the next run compiles again.
+func (me *MappedEngine) dropPrograms() { me.progs = nil }
+
+// initEngine builds the scratch sequential engine setup runs
+// initialization on, on the mapped engine's backend, and adopts the work
+// programs its bundle compiled for the steady-state workers.
+func (me *MappedEngine) initEngine() (*Engine, error) {
+	sh, err := NewShared(me.G, me.Sch, me.Backend)
+	if err != nil {
+		return nil, err
+	}
+	me.progs = sh.progs
+	return sh.NewEngine(Options{})
 }
 
 // buildTopology derives the per-worker node lists, edge queues, and
@@ -514,6 +535,10 @@ func (b *sliceBuffer) Write(p []byte) (int, error) {
 // for the barrier. On return without error every channel is drained and
 // the engine state is at a consistent iteration boundary.
 func (me *MappedEngine) runEpoch(iters int) error {
+	if me.progs == nil {
+		// Restored without a setup: compile before the workers start.
+		me.progs = compilePrograms(me.G, me.Backend)
+	}
 	me.stopCh = make(chan struct{})
 	var stopOnce sync.Once
 	stopAll := func() { stopOnce.Do(func() { close(me.stopCh) }) }
@@ -807,7 +832,7 @@ func (me *MappedEngine) prepareNode(n *ir.Node) *mnodeCtx {
 	rt := me.nodes[n.ID]
 	c := &mnodeCtx{rt: rt, reps: me.Sch.Reps[n.ID]}
 	if n.Kind == ir.NodeFilter && n.Filter.WorkFn == nil {
-		c.runner = newWorkRunner(n.Filter.Kernel, rt.state, me.Backend)
+		c.runner = newWorkRunnerCompiled(n.Filter.Kernel, rt.state, me.progs[n.ID])
 	}
 	c.in = make([]*SliceQueue, len(n.In))
 	for p, e := range n.In {

@@ -312,6 +312,7 @@ func (me *MappedEngine) applyImage(data []byte) error {
 // checkpointed state. A skewed pipelined checkpoint resumes its original
 // segment, so total must equal that segment's final iteration count.
 func (me *MappedEngine) RunFromCheckpoint(data []byte, total int) error {
+	defer me.dropPrograms()
 	it, err := me.RestoreCheckpoint(data)
 	if err != nil {
 		return err

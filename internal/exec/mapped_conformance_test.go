@@ -8,6 +8,7 @@ import (
 	"streamit/internal/ir"
 	"streamit/internal/partition"
 	"streamit/internal/sched"
+	"streamit/internal/vm"
 	"streamit/internal/wfunc"
 )
 
@@ -228,5 +229,41 @@ func runMappedConformance(t *testing.T, app apps.App, strat partition.Strategy, 
 	if string(wantImg) != string(gotImg) {
 		t.Fatalf("mapped engine state diverged from sequential over the rewritten graph (strategy %s): %d- vs %d-byte images differ",
 			strat, len(wantImg), len(gotImg))
+	}
+}
+
+// TestMappedInitEngineBackend: initialization runs on a scratch sequential
+// engine built on the mapped engine's own backend, and under the VM every
+// filter of the rewrite — fused segments and fission replicas included —
+// gets a compiled program, shared by the replicas of one segment.
+func TestMappedInitEngineBackend(t *testing.T) {
+	mb := buildMapped(t, func() *ir.Program { return apps.FMRadio(2, 8) }, partition.StratCoarseData)
+	for _, backend := range []Backend{BackendVM, BackendInterp} {
+		me := mb.engine(t, Options{Backend: backend})
+		seq, err := me.initEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq.Backend != backend {
+			t.Fatalf("%s mapped engine initializes on a %s engine", backend, seq.Backend)
+		}
+		byWork := map[*wfunc.Func]*vm.Program{}
+		for _, n := range me.G.Nodes {
+			if n.Kind != ir.NodeFilter || n.Filter.WorkFn != nil {
+				continue // the test's native collector sinks
+			}
+			p := me.progs[n.ID]
+			if interp := seq.nodes[n.ID].runner.mach == nil; interp != (backend == BackendInterp) {
+				t.Errorf("%s: scratch engine runs %s on the wrong backend", backend, n.Name)
+			}
+			if (p == nil) != (backend == BackendInterp) {
+				t.Errorf("%s: %s has program %v", backend, n.Name, p)
+			}
+			w := n.Filter.Kernel.Work
+			if q, seen := byWork[w]; seen && q != p {
+				t.Errorf("%s: replicas of %s compiled separately", backend, w.Name)
+			}
+			byWork[w] = p
+		}
 	}
 }

@@ -156,7 +156,7 @@ func (pe *ParallelEngine) Run(iters int) error {
 	// states, leaving each channel's residue in carry buffers. The init
 	// transient is unsupervised; fault firing indexes count steady-state
 	// firings per filter.
-	seq, err := NewFromGraph(pe.G, pe.Sch)
+	seq, err := NewFromGraphBackend(pe.G, pe.Sch, pe.Backend)
 	if err != nil {
 		return err
 	}

@@ -56,7 +56,6 @@ func NewShared(g *ir.Graph, s *sched.Schedule, backend Backend) (*Shared, error)
 		G:       g,
 		Sch:     s,
 		Backend: backend,
-		progs:   make([]*vm.Program, len(g.Nodes)),
 		protos:  make([]*wfunc.State, len(g.Nodes)),
 		sends:   make([]bool, len(g.Nodes)),
 		ringCap: make([]int, len(g.Edges)),
@@ -68,9 +67,6 @@ func NewShared(g *ir.Graph, s *sched.Schedule, backend Backend) (*Shared, error)
 		}
 		sh.ringCap[edge.ID] = c
 	}
-	// Fission replicas and fused partitions can share one kernel object;
-	// compile each distinct work function once.
-	compiled := map[*wfunc.Func]*vm.Program{}
 	for _, n := range g.Nodes {
 		if n.Kind != ir.NodeFilter {
 			continue
@@ -88,24 +84,39 @@ func NewShared(g *ir.Graph, s *sched.Schedule, backend Backend) (*Shared, error)
 		}
 		sh.protos[n.ID] = st
 		sh.sends[n.ID] = wfunc.SendsMessages(k.Work)
-		if backend == BackendVM && n.Filter.WorkFn == nil {
-			if p, ok := compiled[k.Work]; ok {
-				sh.progs[n.ID] = p
-			} else if p, err := vm.Compile(k.Work); err == nil {
-				compiled[k.Work] = p
-				sh.progs[n.ID] = p
-			} else {
-				// Uncompilable work functions fall back to the interpreter;
-				// remember the failure so replicas do not retry.
-				compiled[k.Work] = nil
-			}
-		}
 	}
+	sh.progs = compilePrograms(g, backend)
 	if err := sh.deriveConstraints(); err != nil {
 		return nil, err
 	}
 	sh.dynamic = len(sh.constraints) > 0
 	return sh, nil
+}
+
+// compilePrograms compiles the work function of every IL filter of g for
+// backend, once per distinct function: fission replicas and fused
+// segments share one body, so they share one program. Entries are nil for
+// non-filters, under the interpreter, and where compilation falls back to
+// it.
+func compilePrograms(g *ir.Graph, backend Backend) []*vm.Program {
+	progs := make([]*vm.Program, len(g.Nodes))
+	if backend != BackendVM {
+		return progs
+	}
+	compiled := map[*wfunc.Func]*vm.Program{}
+	for _, n := range g.Nodes {
+		if n.Kind != ir.NodeFilter || n.Filter.WorkFn != nil {
+			continue
+		}
+		w := n.Filter.Kernel.Work
+		p, ok := compiled[w]
+		if !ok {
+			p, _ = vm.Compile(w) // nil: the interpreter runs it
+			compiled[w] = p
+		}
+		progs[n.ID] = p
+	}
+	return progs
 }
 
 // Fingerprint hashes the bundle's graph and schedule structure; it equals

@@ -123,46 +123,52 @@ func fusedFaultProgram(t *testing.T, a, b *ir.Filter, sinkPop int) error {
 	return e.Run(2)
 }
 
-// TestFusedInterTapeUnderflowIsExecError: a pure native producer that
-// pushes fewer items than declared starves the fused intermediate buffer;
-// the consumer's pop must surface as an ExecError naming the fuse tape.
+// TestFusedInterTapeUnderflowIsExecError: a producer that pushes fewer
+// items than declared starves the fused intermediate buffer; the fused
+// kernel's rate guard must surface that as an ExecError naming the fused
+// work function instead of feeding the consumer stale items.
 func TestFusedInterTapeUnderflowIsExecError(t *testing.T) {
-	a := lyingFilter("alie", 2, 1)
-	a.Pure = true
+	// Declares push 2 but pushes once on non-negative input; the branch
+	// arms differ, so the static rate check cannot see the lie.
+	ka := wfunc.NewKernel("alie", 1, 1, 2)
+	x := ka.Local("x")
+	ka.WorkBody(
+		wfunc.Set(x, wfunc.PopE()),
+		wfunc.Push1(x),
+		wfunc.IfS(wfunc.Bin(wfunc.Lt, x, wfunc.C(-1)), wfunc.Push1(x)),
+	)
+	a := &ir.Filter{Kernel: ka.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
 	kb := wfunc.NewKernel("b", 2, 2, 1)
 	kb.WorkBody(wfunc.Push1(wfunc.AddX(wfunc.PopE(), wfunc.PopE())))
 	b := &ir.Filter{Kernel: kb.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
 
 	err := fusedFaultProgram(t, a, b, 1)
 	if err == nil {
-		t.Fatal("expected an intermediate-tape underflow error")
+		t.Fatal("expected an intermediate-buffer underflow error")
 	}
 	var ee *ExecError
 	if !errors.As(err, &ee) {
 		t.Fatalf("want *ExecError, got %T: %v", err, err)
 	}
-	if !strings.Contains(ee.Err.Error(), "fuse: intermediate") {
-		t.Fatalf("want a fuse intermediate-tape fault, got %v", ee)
+	if !strings.Contains(ee.Err.Error(), "fault.work: array index -1 out of range") {
+		t.Fatalf("want the fused rate guard to report a one-item deficit, got %v", ee)
 	}
 }
 
-// TestFusedWindowOverreadIsExecError: a pure native producer peeking past
-// its declared window trips the window-tape bound instead of reading
-// items the schedule never guaranteed.
+// TestFusedWindowOverreadIsExecError: a consumer peeking past its declared
+// window inside a fused filter trips the intermediate buffer's bound
+// instead of reading items the schedule never guaranteed.
 func TestFusedWindowOverreadIsExecError(t *testing.T) {
-	ka := wfunc.NewKernel("wlie", 1, 1, 1)
-	ka.WorkBody(wfunc.Pop1(), wfunc.Push1(wfunc.C(0)))
-	a := &ir.Filter{
-		Kernel: ka.Build(),
-		In:     ir.TypeFloat,
-		Out:    ir.TypeFloat,
-		Pure:   true,
-		WorkFn: func(in, out wfunc.Tape, state *wfunc.State) {
-			out.Push(in.Peek(10)) // far past the declared 1-item window
-		},
-	}
-	kb := wfunc.NewKernel("b", 1, 1, 1)
-	kb.WorkBody(wfunc.Push1(wfunc.PopE()))
+	ka := wfunc.NewKernel("a", 1, 1, 1)
+	ka.WorkBody(wfunc.Push1(wfunc.PopE()))
+	a := &ir.Filter{Kernel: ka.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
+	kb := wfunc.NewKernel("wlie", 1, 1, 1)
+	i := kb.Local("i")
+	kb.WorkBody(
+		wfunc.Set(i, wfunc.C(10)), // far past the declared 1-item window
+		wfunc.Push1(wfunc.PeekX(i)),
+		wfunc.Pop1(),
+	)
 	b := &ir.Filter{Kernel: kb.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
 
 	err := fusedFaultProgram(t, a, b, 1)
@@ -173,7 +179,7 @@ func TestFusedWindowOverreadIsExecError(t *testing.T) {
 	if !errors.As(err, &ee) {
 		t.Fatalf("want *ExecError, got %T: %v", err, err)
 	}
-	if !strings.Contains(ee.Err.Error(), "fuse: window") {
-		t.Fatalf("want a fuse window-tape fault, got %v", ee)
+	if !strings.Contains(ee.Err.Error(), "fault.work: array index 10 out of range") {
+		t.Fatalf("want a fused intermediate-buffer bound fault, got %v", ee)
 	}
 }

@@ -1,6 +1,7 @@
 package fuse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -8,6 +9,8 @@ import (
 
 	"streamit/internal/exec"
 	"streamit/internal/ir"
+	"streamit/internal/sched"
+	"streamit/internal/vm"
 	"streamit/internal/wfunc"
 )
 
@@ -62,8 +65,8 @@ func ramp(name string) *ir.Filter {
 }
 
 // TestConcurrentFusion fuses independent pipelines from concurrent
-// goroutines: purity now lives on the fused filters themselves, so
-// parallel compiles must share no mutable state (run under -race).
+// goroutines: fusion builds fresh kernels and shares no mutable state with
+// its inputs or other compiles (run under -race).
 func TestConcurrentFusion(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -79,17 +82,17 @@ func TestConcurrentFusion(t *testing.T) {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
-				if !ab.Pure {
-					t.Errorf("worker %d: fused stateless pair not marked pure", w)
+				if wfunc.WritesFields(ab.Kernel.Work) {
+					t.Errorf("worker %d: fused stateless pair carries state", w)
 					return
 				}
 				abc, err := Pipeline("abc", ab, c)
 				if err != nil {
-					t.Errorf("worker %d: refusing pure fused producer: %v", w, err)
+					t.Errorf("worker %d: refusing fused producer: %v", w, err)
 					return
 				}
-				if abc.Pure {
-					t.Errorf("worker %d: stateful-consumer fusion marked pure", w)
+				if !wfunc.WritesFields(abc.Kernel.Work) {
+					t.Errorf("worker %d: stateful-consumer fusion lost its state", w)
 					return
 				}
 			}
@@ -128,6 +131,10 @@ func TestFusedMatchesPipeline(t *testing.T) {
 			func() *ir.Filter { return mkStateless("B", 1, 1, 2, 2) }},
 		{"stateful-consumer", func() *ir.Filter { return mkStateless("A", 1, 1, 2, 1) },
 			func() *ir.Filter { return mkStateful("B", 3, 2, 1) }},
+		// The producer fires exactly once per original firing, in order, so
+		// its state is never replayed: stateful producers fuse too.
+		{"stateful-producer", func() *ir.Filter { return mkStateful("A", 2, 1, 2) },
+			func() *ir.Filter { return mkStateful("B", 4, 3, 1) }},
 	}
 	for _, c := range cases {
 		c := c
@@ -151,7 +158,9 @@ func TestFusedMatchesPipeline(t *testing.T) {
 	}
 }
 
-// TestFuseRandomized: random rate combinations preserve semantics.
+// TestFuseRandomized: random rate combinations with a stateful peeking
+// consumer fuse into a kernel the VM compiles, and the fused filter is
+// bit-identical to the unfused pipeline on both backends.
 func TestFuseRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 30; trial++ {
@@ -161,37 +170,80 @@ func TestFuseRandomized(t *testing.T) {
 		bPop := rng.Intn(3) + 1
 		bPush := rng.Intn(3) + 1
 		bPeek := bPop + rng.Intn(4)
-		mk := func() (*ir.Filter, *ir.Filter) {
-			return mkStateless("A", aPeek, aPop, aPush, 0.5),
-				mkStateful("B", bPeek, bPop, bPush)
+		mk := func() []*ir.Filter {
+			return []*ir.Filter{mkStateless("A", aPeek, aPop, aPush, 0.5), mkStateful("B", bPeek, bPop, bPush)}
 		}
-		a1, b1 := mk()
-		plain := outputsOf(t, []ir.Stream{a1, b1}, 48)
-		a2, b2 := mk()
-		fused, err := Pipeline("fused", a2, b2)
-		if err != nil {
-			t.Fatalf("trial %d (a:%d/%d/%d b:%d/%d/%d): %v", trial, aPeek, aPop, aPush, bPeek, bPop, bPush, err)
-		}
-		fusedOut := outputsOf(t, []ir.Stream{fused}, 48)
-		n := min(len(plain), len(fusedOut))
+		label := fmt.Sprintf("trial %d (a:%d/%d/%d b:%d/%d/%d)", trial, aPeek, aPop, aPush, bPeek, bPop, bPush)
+		checkFused(t, label, mk, func(fs []*ir.Filter) (*ir.Filter, error) { return Pipeline("fused", fs[0], fs[1]) })
+	}
+}
+
+// checkFused runs mk's filters as a plain pipeline on the interpreter
+// (the reference) and fused by fuse on the VM and the interpreter, and
+// requires the fused kernel to compile to VM code and every output bit to
+// match the reference.
+func checkFused(t *testing.T, label string, mk func() []*ir.Filter, fuse func([]*ir.Filter) (*ir.Filter, error)) {
+	t.Helper()
+	fs := mk()
+	plain := make([]ir.Stream, len(fs))
+	for i, f := range fs {
+		plain[i] = f
+	}
+	want := outputsOn(t, plain, 48, exec.BackendInterp)
+	fused, err := fuse(mk())
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if _, err := vm.Compile(fused.Kernel.Work); err != nil {
+		t.Fatalf("%s: fused kernel falls back to the interpreter: %v", label, err)
+	}
+	for _, backend := range []exec.Backend{exec.BackendVM, exec.BackendInterp} {
+		got := outputsOn(t, []ir.Stream{fused}, 48, backend)
+		n := min(len(want), len(got))
 		if n < 8 {
-			t.Fatalf("trial %d: too few outputs", trial)
+			t.Fatalf("%s: too few outputs (%d plain, %d fused)", label, len(want), len(got))
 		}
 		for i := 0; i < n; i++ {
-			if math.Abs(plain[i]-fusedOut[i]) > 1e-9 {
-				t.Fatalf("trial %d output %d: pipeline %v, fused %v", trial, i, plain[i], fusedOut[i])
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("%s, %s: output %d: pipeline %v, fused %v", label, backend, i, want[i], got[i])
 			}
 		}
 	}
 }
 
-// TestFuseRejections: stateful producers, handlers, and dynamic rates are
-// rejected with clear errors.
+// outputsOn runs ramp -> mid -> sink for iters steady iterations on the
+// given backend and returns what the sink consumed.
+func outputsOn(t *testing.T, mid []ir.Stream, iters int, backend exec.Backend) []float64 {
+	t.Helper()
+	snk, got := exec.SliceSink("snk")
+	children := append([]ir.Stream{ramp("src")}, mid...)
+	children = append(children, snk)
+	g, err := ir.Flatten(&ir.Program{Name: "t", Top: ir.Pipe("main", children...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := exec.NewFromGraphBackend(g, s, backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(iters); err != nil {
+		t.Fatal(err)
+	}
+	return *got
+}
+
+// TestFuseRejections: native work functions, dynamic rates and message
+// handlers are rejected with clear errors.
 func TestFuseRejections(t *testing.T) {
-	stateful := mkStateful("S", 1, 1, 1)
 	plain := mkStateless("P", 1, 1, 1, 1)
-	if _, err := Pipeline("x", stateful, plain); err == nil {
-		t.Error("stateful producer should be rejected")
+	native := mkStateless("N", 1, 1, 1, 1)
+	native.WorkFn = func(in, out wfunc.Tape, _ *wfunc.State) { out.Push(in.Pop()) }
+	if _, err := Pipeline("x", native, plain); err == nil {
+		t.Error("native producer should be rejected")
 	}
 	dynB := wfunc.NewKernel("dyn", 1, 1, 1)
 	dynB.Dynamic()
@@ -199,6 +251,13 @@ func TestFuseRejections(t *testing.T) {
 	dyn := &ir.Filter{Kernel: dynB.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
 	if _, err := Pipeline("x", plain, dyn); err == nil {
 		t.Error("dynamic consumer should be rejected")
+	}
+	hb := wfunc.NewKernel("h", 1, 1, 1)
+	hb.WorkBody(wfunc.Push1(wfunc.PopE()))
+	hb.Handler("set", 0)
+	handler := &ir.Filter{Kernel: hb.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
+	if _, err := Pipeline("x", plain, handler); err == nil {
+		t.Error("message handler should be rejected")
 	}
 }
 
@@ -234,8 +293,8 @@ func min(a, b int) int {
 }
 
 // BenchmarkFusionOverhead compares a three-filter pipeline against its
-// fully fused form: fusion removes per-firing engine and channel overhead
-// at the cost of re-deriving peek history.
+// fully fused form: fusion removes per-firing engine and channel overhead,
+// and carries the peeking consumer's history instead of a channel.
 func BenchmarkFusionOverhead(b *testing.B) {
 	mk := func() []ir.Stream {
 		return []ir.Stream{

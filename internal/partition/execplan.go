@@ -45,6 +45,10 @@ type ExecPlan struct {
 	// static estimator's scale (measured-work rescaled when provided).
 	// Filters synthesized by fusion/fission carry their constituents' work.
 	Work map[*ir.Filter]int64
+	// Segments maps every filter the rewrite synthesized — fused segments
+	// and fission replicas — to the original filters it runs, in pipeline
+	// order.
+	Segments map[*ir.Filter][]*ir.Filter
 	// Fused counts filters folded away by coarsening; Replicas counts
 	// fission replicas created.
 	Fused    int
@@ -88,6 +92,7 @@ func BuildExecPlan(prog *ir.Program, g *ir.Graph, s *sched.Schedule, opts ExecPl
 			Strategy:  opts.Strategy,
 			Workers:   workers,
 			Work:      map[*ir.Filter]int64{},
+			Segments:  map[*ir.Filter][]*ir.Filter{},
 			Pipelined: pipelined,
 		},
 	}
@@ -149,8 +154,8 @@ type planBuilder struct {
 
 // transformable reports whether f may participate in fusion/fission: a
 // static-rate, data-carrying, stateless IL filter without messaging. Native
-// filters are excluded even when marked Pure — their closures may not be
-// reentrant, so they cannot be replicated or re-driven by the fused runner.
+// filters are excluded: their closures may not be reentrant, so they can
+// be neither replicated nor spliced into a fused kernel.
 func (b *planBuilder) transformable(f *ir.Filter) bool {
 	k := f.Kernel
 	if f.WorkFn != nil || k.Dynamic || len(k.Handlers) > 0 {
@@ -295,11 +300,7 @@ func (b *planBuilder) rewriteRun(run []*ir.Filter) ([]ir.Stream, error) {
 	}
 	var out []ir.Stream
 	for _, seg := range b.segment(run) {
-		var work int64
-		for _, f := range seg {
-			work += b.perSteady(f)
-		}
-		st, err := b.rewriteSegment(seg, b.fissFactor(work))
+		st, err := b.rewriteSegment(seg, b.fissFactor(b.segWork(seg)))
 		if err != nil {
 			return nil, err
 		}
@@ -318,113 +319,115 @@ func (b *planBuilder) fineFactor(f *ir.Filter) int {
 	return b.workers
 }
 
-// segment splits a run at boundaries where fusion fails (probed on
-// throwaway copies so the originals stay untouched).
+func (b *planBuilder) segWork(seg []*ir.Filter) int64 {
+	var w int64
+	for _, f := range seg {
+		w += b.perSteady(f)
+	}
+	return w
+}
+
+// segment splits a run into the stretches coarsening fuses. Fusion stops
+// where fuse.Check fails and at every boundary whose consumer peeks:
+// fusing there carries the consumer's peek history as state, and a
+// stateful segment cannot be fissed. Pieces rejoin across a peeking
+// boundary only when the joined segment is too light for fission anyway,
+// so every fissed segment is stateless and every fused one does exactly
+// its constituents' work.
 func (b *planBuilder) segment(run []*ir.Filter) [][]*ir.Filter {
-	var segs [][]*ir.Filter
-	cur := []*ir.Filter{run[0]}
-	probe := ir.Stream(copyFilter(run[0], ""))
-	for _, f := range run[1:] {
-		var fused *ir.Filter
-		var err error
-		if pf, ok := probe.(*ir.Filter); ok {
-			fused, err = fuse.Pipeline("probe", pf, copyFilter(f, ""))
+	type piece struct {
+		fs       []*ir.Filter
+		work     int64
+		joinable bool // fusable with the previous piece, across a peek
+	}
+	var ps []piece
+	for i, f := range run {
+		if i > 0 {
+			err := fuse.Check(run[i-1], f)
+			if err == nil && f.Kernel.Peek == f.Kernel.Pop {
+				p := &ps[len(ps)-1]
+				p.fs, p.work = append(p.fs, f), p.work+b.perSteady(f)
+				continue
+			}
+			ps = append(ps, piece{joinable: err == nil})
+		} else {
+			ps = append(ps, piece{})
 		}
-		if err != nil || fused == nil {
-			segs = append(segs, cur)
-			cur = []*ir.Filter{f}
-			probe = copyFilter(f, "")
+		p := &ps[len(ps)-1]
+		p.fs, p.work = []*ir.Filter{f}, b.perSteady(f)
+	}
+	var segs [][]*ir.Filter
+	cur, work := ps[0].fs, ps[0].work
+	for _, p := range ps[1:] {
+		if p.joinable && b.fissFactor(work+p.work) == 1 {
+			cur, work = append(cur, p.fs...), work+p.work
 			continue
 		}
-		probe = fused
-		cur = append(cur, f)
+		segs = append(segs, cur)
+		cur, work = p.fs, p.work
 	}
 	return append(segs, cur)
 }
 
 // rewriteSegment emits the executable form of one fusable segment with
 // fission factor k: the original filter (len 1, k==1), a single fused
-// filter (k==1), or a scatter/replicas/gather split-join (k>1). Replicas
-// are built from fresh copies so no kernel state or fused closure is
-// shared between them.
+// filter (k==1), or a scatter/replicas/gather split-join (k>1). The
+// segment is fused once; replicas are fresh filters sharing its IL bodies,
+// so the engines compile one program for all of them while each replica
+// keeps its own field state.
 func (b *planBuilder) rewriteSegment(seg []*ir.Filter, k int) (ir.Stream, error) {
-	var segWork int64
-	for _, f := range seg {
-		segWork += b.perSteady(f)
-	}
+	segWork := b.segWork(seg)
 	// Items entering the segment per original steady iteration, for
 	// converting segment work to per-firing work of the fused result.
 	inItems := b.reps(seg[0]) * int64(seg[0].Kernel.Pop)
 
-	if k <= 1 {
-		if len(seg) == 1 {
-			return seg[0], nil
-		}
-		fused, err := foldFuse(seg)
-		if err != nil {
+	inner := seg[0]
+	if len(seg) > 1 {
+		var err error
+		if inner, err = fuse.Segment(segName(seg), seg); err != nil {
 			return nil, err
 		}
 		b.plan.Fused += len(seg) - 1
-		b.plan.Work[fused] = perFiring(segWork, int64(fused.Kernel.Pop), inItems)
-		return fused, nil
+	}
+	kr := inner.Kernel
+	P, U, E := kr.Pop, kr.Push, kr.Peek-kr.Pop
+	pf := perFiring(segWork, int64(P), inItems)
+	if k <= 1 {
+		if len(seg) > 1 {
+			b.plan.Work[inner] = pf
+			b.plan.Segments[inner] = seg
+		}
+		return inner, nil
 	}
 
 	name := segName(seg)
-	replicas := make([]*ir.Filter, k)
-	for r := 0; r < k; r++ {
-		copies := make([]*ir.Filter, len(seg))
-		for i, f := range seg {
-			copies[i] = copyFilter(f, "")
-		}
-		var rep *ir.Filter
-		if len(copies) == 1 {
-			rep = copies[0]
-		} else {
-			var err error
-			rep, err = foldFuse(copies)
-			if err != nil {
-				return nil, err
-			}
-		}
-		rep.Kernel.Name = fmt.Sprintf("%s/f%d", name, r)
-		replicas[r] = rep
-	}
-	if len(seg) > 1 {
-		b.plan.Fused += len(seg) - 1
-	}
 	b.plan.Replicas += k
-
-	kr := replicas[0].Kernel
-	P, U, E := kr.Pop, kr.Push, kr.Peek-kr.Pop
 	wPop := make([]int, k)
 	wPush := make([]int, k)
 	for r := range wPop {
 		wPop[r], wPush[r] = P, U
 	}
-	pf := perFiring(segWork, int64(P), inItems)
+	var replicas []*ir.Filter
+	split := ir.RoundRobin(wPop...)
 	if E == 0 {
 		// Round-robin scatter of each replica's pop quantum; ordered
 		// round-robin gather restores the original output order (replica r
 		// handles original firings r, r+k, r+2k, ...).
-		for _, rep := range replicas {
-			b.plan.Work[rep] = pf
+		for r := 0; r < k; r++ {
+			replicas = append(replicas, copyFilter(inner, fmt.Sprintf("%s/f%d", name, r)))
 		}
-		return ir.SJ(name+"_fiss", ir.RoundRobin(wPop...), ir.RoundRobin(wPush...), filterStreams(replicas)...), nil
+	} else {
+		// Peeking fission: every replica sees the whole stream (duplicate
+		// splitter) and runs one constituent firing per k·P consumed items
+		// — PGraph.fiss's duplicated peek margin, made executable.
+		replicas = peekingReplicas(inner, name, k)
+		split = ir.Duplicate()
 	}
-	// Peeking fission: every replica sees the whole stream (duplicate
-	// splitter) and runs one constituent firing per k·P consumed items,
-	// reading its slice through an offset window — PGraph.fiss's duplicated
-	// peek margin, made executable.
-	wrapped := make([]*ir.Filter, k)
-	for r, rep := range replicas {
-		w, err := wrapPeekingReplica(rep, r, k)
-		if err != nil {
-			return nil, err
-		}
-		b.plan.Work[w] = pf
-		wrapped[r] = w
+	for _, rep := range replicas {
+		b.plan.Work[rep] = pf
+		b.plan.Segments[rep] = seg
 	}
-	return ir.SJ(name+"_fiss", ir.Duplicate(), ir.RoundRobin(wPush...), filterStreams(wrapped)...), nil
+	return ir.SJ(name+"_fiss", split, ir.RoundRobin(wPush...), filterStreams(replicas)...), nil
 }
 
 // perFiring converts segment work per original steady iteration into
@@ -457,111 +460,51 @@ func filterStreams(fs []*ir.Filter) []ir.Stream {
 	return out
 }
 
-// copyFilter clones an IL filter for use as a fission replica: a fresh
-// Filter and Kernel value (flattening requires single appearance) sharing
-// the immutable IL bodies; per-instance state is created by the engines.
-func copyFilter(f *ir.Filter, tag string) *ir.Filter {
+// copyFilter clones an IL filter under a new name for use as a fission
+// replica: a fresh Filter and Kernel value (flattening requires single
+// appearance) sharing the immutable IL bodies; per-instance state is
+// created by the engines.
+func copyFilter(f *ir.Filter, name string) *ir.Filter {
 	k := *f.Kernel
-	k.Name = f.Kernel.Name + tag
-	return &ir.Filter{Kernel: &k, In: f.In, Out: f.Out, Pure: f.Pure}
+	k.Name = name
+	return &ir.Filter{Kernel: &k, In: f.In, Out: f.Out}
 }
 
-// foldFuse fuses a segment left to right into one filter.
-func foldFuse(seg []*ir.Filter) (*ir.Filter, error) {
-	acc := seg[0]
-	for _, f := range seg[1:] {
-		fused, err := fuse.Pipeline(acc.Kernel.Name+"+"+f.Kernel.Name, acc, f)
-		if err != nil {
-			return nil, err
-		}
-		acc = fused
-	}
-	return acc, nil
-}
-
-// wrapPeekingReplica builds replica r of k for a peeking filter: a native
-// filter consuming k·P items per firing with a peek margin of E extra,
-// running the inner filter once over the window starting at r·P. The
-// duplicate splitter delivers the full stream to every replica, so replica
-// r's j-th firing reproduces original firing j·k+r exactly.
-func wrapPeekingReplica(inner *ir.Filter, r, k int) (*ir.Filter, error) {
+// peekingReplicas builds the k replicas of a peeking filter (peek P+E,
+// pop P). Replica r consumes k·P items per firing with a peek margin of E:
+//
+//	pop skip; <inner body>; pop (k−1)·P − skip     (skip = r·P)
+//
+// The duplicate splitter delivers the full stream to every replica, so
+// replica r's j-th firing reproduces original firing j·k+r exactly. skip
+// is a per-replica constant field, so all k replicas share one work
+// function and the engines compile it once.
+func peekingReplicas(inner *ir.Filter, name string, k int) []*ir.Filter {
 	ki := inner.Kernel
-	P, U, E := ki.Pop, ki.Push, ki.Peek-ki.Pop
-	peek, pop := k*P+E, k*P
-
-	shell := wfunc.NewKernel(ki.Name, peek, pop, U)
-	shell.Dynamic() // skip the static body check; behaviour is the closure below
-	shell.WorkBody()
-	kern := shell.Build()
-	kern.Dynamic = false
-	kern.Peek, kern.Pop, kern.Push = peek, pop, U
-
-	var fire func(in, out wfunc.Tape)
-	if inner.WorkFn != nil {
-		// A fused replica: its closure owns all state (none, being pure).
-		fire = func(in, out wfunc.Tape) { inner.WorkFn(in, out, nil) }
-	} else {
-		state := ki.NewState()
-		if ki.Init != nil {
-			env := wfunc.NewEnv(ki.Init)
-			env.State = state
-			if err := wfunc.Exec(ki.Init, env); err != nil {
-				return nil, fmt.Errorf("partition: init of replica %s: %w", ki.Name, err)
-			}
-		}
-		env := wfunc.NewEnv(ki.Work)
-		env.State = state
-		fire = func(in, out wfunc.Tape) {
-			env.Reset()
-			env.In, env.Out = in, out
-			if err := wfunc.Exec(ki.Work, env); err != nil {
-				panic(fmt.Errorf("partition: replica %s: %w", ki.Name, err))
-			}
+	P, E := ki.Pop, ki.Peek-ki.Pop
+	skip := &wfunc.FieldRef{}
+	for _, f := range ki.Fields {
+		if f.Size == 0 {
+			skip.Idx++
 		}
 	}
-	base := r * P
-	workFn := func(in, out wfunc.Tape, _ *wfunc.State) {
-		w := &planWindow{under: in, base: base, limit: peek}
-		fire(w, out)
-		for i := 0; i < pop; i++ {
-			in.Pop()
-		}
+	z := &wfunc.LocalRef{Idx: ki.Work.NumLocals}
+	body := []wfunc.Stmt{wfunc.ForUp(z, wfunc.Ci(0), skip, wfunc.Pop1())}
+	body = append(body, ki.Work.Body...)
+	body = append(body, wfunc.ForUp(z, skip, wfunc.Ci((k-1)*P), wfunc.Pop1()))
+	work := &wfunc.Func{Name: ki.Work.Name, Body: body, NumLocals: z.Idx + 1, ArraySizes: ki.Work.ArraySizes}
+
+	reps := make([]*ir.Filter, k)
+	for r := range reps {
+		rep := copyFilter(inner, fmt.Sprintf("%s/f%d", name, r))
+		kr := rep.Kernel
+		kr.Peek, kr.Pop = k*P+E, k*P
+		kr.Fields = append(ki.Fields[:len(ki.Fields):len(ki.Fields)], wfunc.FieldSpec{Name: "skip", Init: float64(r * P)})
+		kr.Work = work
+		reps[r] = rep
 	}
-	return &ir.Filter{Kernel: kern, In: inner.In, Out: inner.Out, WorkFn: workFn, Pure: true}, nil
+	return reps
 }
-
-// planWindow is a read-only offset window over a tape: peeks shift by
-// base+cursor, pops advance only the cursor. Out-of-window reads panic
-// with an error value so the engines report a structured ExecError.
-type planWindow struct {
-	under  wfunc.Tape
-	base   int
-	cursor int
-	limit  int
-}
-
-// Peek implements wfunc.Tape.
-func (t *planWindow) Peek(i int) float64 {
-	idx := t.base + t.cursor + i
-	if i < 0 || idx >= t.limit {
-		panic(fmt.Errorf("partition: replica peek(%d) at offset %d reads past the %d-item window", i, idx, t.limit))
-	}
-	return t.under.Peek(idx)
-}
-
-// Pop implements wfunc.Tape.
-func (t *planWindow) Pop() float64 {
-	idx := t.base + t.cursor
-	if idx >= t.limit {
-		panic(fmt.Errorf("partition: replica pop at offset %d reads past the %d-item window", idx, t.limit))
-	}
-	v := t.under.Peek(idx)
-	t.cursor++
-	return v
-}
-
-// Push is invalid on the window.
-func (t *planWindow) Push(float64) { panic("partition: replica input window is read-only") }
 
 // Assign maps every node of the rewritten flat graph onto a worker with
 // longest-processing-time bin-packing over the plan's work estimates (the

@@ -146,6 +146,10 @@ func (c *compiler) stmt(s wfunc.Stmt) {
 		if s.LHS.Kind == wfunc.LVLocal {
 			if b, ok := s.X.(*wfunc.Binary); ok && b.Op == wfunc.Add {
 				if l, ok := b.A.(*wfunc.LocalRef); ok && l.Idx == s.LHS.Idx {
+					if k, ok := b.B.(*wfunc.Const); ok {
+						c.emit2(opIncLocalC, s.LHS.Idx, c.cpool(k.V))
+						return
+					}
 					c.expr(b.B)
 					c.emit(opIncLocal, s.LHS.Idx)
 					c.pop(1)
@@ -315,6 +319,11 @@ func (c *compiler) expr(e wfunc.Expr) {
 			c.push(1)
 			return
 		}
+		if x, y, ok := localSum(e.Index); ok {
+			c.emit2(opLoadLocalIdxLL, e.Arr, x|y<<16)
+			c.push(1)
+			return
+		}
 		c.expr(e.Index)
 		c.emit(opLoadLocalIdx, e.Arr)
 	case *wfunc.FieldIndex:
@@ -323,11 +332,21 @@ func (c *compiler) expr(e wfunc.Expr) {
 			c.push(1)
 			return
 		}
+		if x, y, ok := localSum(e.Index); ok {
+			c.emit2(opLoadFieldIdxLL, e.Arr, x|y<<16)
+			c.push(1)
+			return
+		}
 		c.expr(e.Index)
 		c.emit(opLoadFieldIdx, e.Arr)
 	case *wfunc.Peek:
 		if l, ok := e.Index.(*wfunc.LocalRef); ok {
 			c.emit2(opPeekLocal, l.Idx, 0)
+			c.push(1)
+			return
+		}
+		if x, y, ok := localSum(e.Index); ok {
+			c.emit2(opPeekLL, x, y)
 			c.push(1)
 			return
 		}
@@ -394,4 +413,19 @@ func (c *compiler) expr(e wfunc.Expr) {
 	default:
 		c.fail("unknown expression %T", e)
 	}
+}
+
+// localSum matches an index of the form locals[x] + locals[y] with both
+// slots packable into one operand.
+func localSum(e wfunc.Expr) (x, y int, ok bool) {
+	b, ok := e.(*wfunc.Binary)
+	if !ok || b.Op != wfunc.Add {
+		return 0, 0, false
+	}
+	lx, ok1 := b.A.(*wfunc.LocalRef)
+	ly, ok2 := b.B.(*wfunc.LocalRef)
+	if !ok1 || !ok2 || !fits16(lx.Idx) || !fits16(ly.Idx) {
+		return 0, 0, false
+	}
+	return lx.Idx, ly.Idx, true
 }

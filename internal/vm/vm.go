@@ -65,6 +65,13 @@ const (
 	opJGeLC         // if !(locals[b&0xffff] < consts[b>>16]) { pc = a }
 	opIncLocalC     // locals[a] += consts[b]
 
+	// Sliding-window reads: indexing by the sum of two locals, the shape
+	// of a fused filter's constituent reading its intermediate buffer (or
+	// its run-ahead input) at cursor+i.
+	opPeekLL         // push in.Peek(int(locals[a] + locals[b]))
+	opLoadLocalIdxLL // push arrays[a][int(locals[b&0xffff] + locals[b>>16])]
+	opLoadFieldIdxLL // push state.Arrays[a][int(locals[b&0xffff] + locals[b>>16])]
+
 	// Unary operators (dedicated opcodes keep the hot ones branch-cheap;
 	// the trigonometric tail delegates to wfunc.EvalUnary).
 	opNeg
@@ -317,6 +324,28 @@ func (m *Machine) Run(in, out wfunc.Tape, msg wfunc.Messenger, print func(float6
 			}
 		case opIncLocalC:
 			locals[ins.a] += p.consts[ins.b]
+		case opPeekLL:
+			if in == nil {
+				return m.fail("peek outside work function")
+			}
+			st[sp] = in.Peek(int(locals[ins.a] + locals[ins.b]))
+			sp++
+		case opLoadLocalIdxLL:
+			arr := m.arrays[ins.a]
+			ix := int(locals[ins.b&0xffff] + locals[ins.b>>16])
+			if ix < 0 || ix >= len(arr) {
+				return m.fail("array index %d out of range [0,%d)", ix, len(arr))
+			}
+			st[sp] = arr[ix]
+			sp++
+		case opLoadFieldIdxLL:
+			arr := fieldArrs[ins.a]
+			ix := int(locals[ins.b&0xffff] + locals[ins.b>>16])
+			if ix < 0 || ix >= len(arr) {
+				return m.fail("array index %d out of range [0,%d)", ix, len(arr))
+			}
+			st[sp] = arr[ix]
+			sp++
 
 		case opNeg:
 			st[sp-1] = -st[sp-1]

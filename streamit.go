@@ -97,8 +97,8 @@ var (
 	// DefaultMachine is the 16-tile configuration of the evaluation.
 	DefaultMachine = machine.DefaultConfig
 
-	// FuseFilters collapses two pipelined filters into one (see
-	// internal/fuse for the stateless-producer requirement).
+	// FuseFilters collapses two pipelined IL filters into one fused IL
+	// filter (see internal/fuse for what can be fused).
 	FuseFilters = fuse.Pipeline
 
 	// CompileDynamic builds the demand-driven engine for dynamic-rate
