@@ -357,8 +357,15 @@ func main() {
 		dur := time.Since(start)
 		fmt.Printf("ran %d steady-state iterations on the %s backend in %v\n", *iters, label, dur.Round(time.Microsecond))
 		fmt.Printf("%.0f iterations/sec\n", float64(*iters)/dur.Seconds())
-		if me, ok := r.(*exec.MappedEngine); ok && *elastic {
-			fmt.Printf("elastic re-plans: %d (finished on %d workers)\n", me.Replans(), me.Workers)
+		if me, ok := r.(*exec.MappedEngine); ok {
+			plural := "s"
+			if me.CrossEdges() == 1 {
+				plural = ""
+			}
+			fmt.Printf("%d workers, partitions %v, %d cross-worker edge%s\n", me.Workers, me.PartitionSizes(), me.CrossEdges(), plural)
+			if *elastic {
+				fmt.Printf("elastic re-plans: %d (finished on %d workers)\n", me.Replans(), me.Workers)
+			}
 		}
 		report(r.SupervisionReport(), len(r.Degraded()) > 0)
 		finishObs(r, runOpts.TracePath)

@@ -67,9 +67,9 @@ func elasticFilter(name string, loops int) *ir.Filter {
 // elasticProg builds the skewed pipeline: three "decoy" filters whose
 // kernels look expensive to the static estimator, and two "hot" filters
 // that look free. At run time the costs are inverted (OverrideWork makes
-// the decoys pass-throughs and the hots spin), so the static LPT packing
-// — decoys spread out, both hots sharing the leftover worker — is
-// maximally wrong, and a planner fed the true measurements separates the
+// the decoys pass-throughs and the hots spin), so the static packing —
+// decoys spread out, both hots sharing the last worker — is maximally
+// wrong, and a planner fed the true measurements separates the
 // hots instead.
 func elasticProg() *ir.Program {
 	return &ir.Program{Name: "skew", Top: ir.Pipe("main",

@@ -46,9 +46,14 @@ import (
 // extension of the dataflow order and every edge carries exactly one batch
 // per iteration, so the worker holding the globally earliest incomplete
 // firing always has its inputs available and its output channel short of
-// capacity — it can always progress. A watchdog still supervises the run
-// (fault injection can wedge it deliberately) and attributes blocked
-// edges to workers in its DeadlockError.
+// capacity — it can always progress. The partitioner packs lockstep plans
+// as a chain (contiguous runs of one topological order, run r on worker
+// r), so the worker graph is a chain too: every cross-worker edge flows
+// from a lower worker to a higher one, and the bounded channels let an
+// upstream worker fire iteration i+1 while its consumer still fires
+// iteration i. A watchdog still supervises the run (fault injection can
+// wedge it deliberately) and attributes blocked edges to workers in its
+// DeadlockError.
 //
 // Software pipelining (Options.Stages): instead of the lockstep iteration
 // schedule, workers run stage-skewed macro-cycles — a node at stage level
@@ -87,8 +92,8 @@ type MappedEngine struct {
 
 	// Replan recomputes a node→worker assignment for a reduced worker
 	// count during crash recovery (typically partition.ExecPlan.AssignN).
-	// nil, or an invalid result, falls back to redistributing the dead
-	// worker's nodes onto the least-loaded survivors.
+	// nil, or an invalid result, falls back to moving the dead worker's
+	// nodes onto survivors (reassignWithout).
 	Replan func(workers int) []int
 
 	// ReplanMeasured recomputes an assignment from live measured work per
@@ -670,10 +675,11 @@ func (me *MappedEngine) clustersIntact(assign []int) bool {
 	return true
 }
 
-// reassignWithout is the fallback re-plan: the dead worker's nodes move to
-// the least-loaded survivors (by node count) and the survivors renumber
-// densely to 0..Workers-2. Pipelined stage clusters move as a unit so they
-// stay on one worker.
+// reassignWithout is the fallback re-plan; the survivors renumber densely
+// to 0..Workers-2. On lockstep plans the dead worker's nodes merge into
+// the adjacent survivor with fewer nodes, so a chain assignment stays a
+// chain. On pipelined plans they move to the least-loaded survivors (by
+// node count), each stage cluster as a unit so it stays on one worker.
 func (me *MappedEngine) reassignWithout(dead int) []int {
 	load := make([]int, me.Workers)
 	for _, w := range me.Assign {
@@ -689,23 +695,26 @@ func (me *MappedEngine) reassignWithout(dead int) []int {
 		renum[w] = next
 		next++
 	}
-	unitOf := func(id int) []int {
-		if me.swp != nil {
-			if ci := me.swp.clusterOf[id]; ci >= 0 {
-				return me.swp.clusters[ci]
-			}
-		}
-		return nil
-	}
 	assign := make([]int, len(me.Assign))
+	if me.swp == nil {
+		into := dead - 1
+		if dead == 0 || (dead+1 < me.Workers && load[dead+1] < load[dead-1]) {
+			into = dead + 1
+		}
+		renum[dead] = renum[into]
+		for id, w := range me.Assign {
+			assign[id] = renum[w]
+		}
+		return assign
+	}
 	seen := make([]bool, len(me.Assign))
 	for id, w := range me.Assign {
 		if seen[id] {
 			continue
 		}
-		unit := unitOf(id)
-		if unit == nil {
-			unit = []int{id}
+		unit := []int{id}
+		if ci := me.swp.clusterOf[id]; ci >= 0 {
+			unit = me.swp.clusters[ci]
 		}
 		for _, m := range unit {
 			seen[m] = true
@@ -1218,6 +1227,19 @@ func (me *MappedEngine) fireFilterSupervised(c *mnodeCtx, st *nodeStatus) error 
 
 // WorkerOf reports the worker a node runs on (diagnostics).
 func (me *MappedEngine) WorkerOf(id int) int { return me.Assign[id] }
+
+// CrossEdges counts the graph edges whose producer and consumer run on
+// different workers — each one a batch channel handoff per steady
+// iteration (diagnostics and tests).
+func (me *MappedEngine) CrossEdges() int {
+	n := 0
+	for _, e := range me.G.Edges {
+		if me.Assign[e.Src.ID] != me.Assign[e.Dst.ID] {
+			n++
+		}
+	}
+	return n
+}
 
 // PartitionSizes returns per-worker node counts, sorted descending
 // (diagnostics and tests).

@@ -444,6 +444,52 @@ func TestMappedWorkerCrashReplanHook(t *testing.T) {
 	}
 }
 
+// TestMappedCrashFallbackKeepsChain: with no Replan hook, a crashed
+// worker's partition merges into an adjacent survivor. The partitioner's
+// chain assignment stays a chain — every cross-worker edge still flows
+// from a lower worker to a higher one — and the recovered run ends
+// bit-identical to an undisturbed one, final image and output alike.
+func TestMappedCrashFallbackKeepsChain(t *testing.T) {
+	const iters = 6
+	for _, app := range apps.Suite()[:5] {
+		for _, dead := range []int{0, 1, 3} {
+			label := fmt.Sprintf("%s crash:worker%d", app.Name, dead)
+			refB := buildMapped(t, app.Build, partition.StratCoarseData)
+			ref := refB.engine(t, Options{})
+			if err := ref.Run(iters); err != nil {
+				t.Fatalf("%s: reference run: %v", label, err)
+			}
+			crB := buildMapped(t, app.Build, partition.StratCoarseData)
+			me := crB.engine(t, Options{Faults: mustPlan(t, fmt.Sprintf("crash:worker%d@2", dead))})
+			if me.Replan != nil {
+				t.Fatalf("%s: engine has a Replan hook", label)
+			}
+			if err := me.Run(iters); err != nil {
+				t.Fatalf("%s: crashed run did not recover: %v", label, err)
+			}
+			if me.Workers != crB.workers-1 {
+				t.Fatalf("%s: engine degraded to %d workers, want %d", label, me.Workers, crB.workers-1)
+			}
+			cross := 0
+			for _, e := range me.G.Edges {
+				switch src, dst := me.Assign[e.Src.ID], me.Assign[e.Dst.ID]; {
+				case src > dst:
+					t.Fatalf("%s: edge %s flows backward after recovery, worker %d -> %d", label, e, src, dst)
+				case src < dst:
+					cross++
+				}
+			}
+			if me.CrossEdges() != cross {
+				t.Fatalf("%s: CrossEdges() = %d, want %d", label, me.CrossEdges(), cross)
+			}
+			if !bytes.Equal(mappedCkptBytes(t, ref, iters), mappedCkptBytes(t, me, iters)) {
+				t.Fatalf("%s: recovered final state differs from an undisturbed run", label)
+			}
+			compareOuts(t, refB.outs, crB.outs, label)
+		}
+	}
+}
+
 // TestMappedWorkerSlowFault: a slow fault completes the run with correct
 // output and shows up in the degradation stats — graceful degradation,
 // not failure.

@@ -506,9 +506,13 @@ func peekingReplicas(inner *ir.Filter, name string, k int) []*ir.Filter {
 	return reps
 }
 
-// Assign maps every node of the rewritten flat graph onto a worker with
-// longest-processing-time bin-packing over the plan's work estimates (the
-// same greedy packing the simulated mappers use). g2 and s2 must be the
+// Assign maps every node of the rewritten flat graph onto a worker from
+// the plan's work estimates. Lockstep plans are cut as a chain: one
+// topological order split into contiguous runs that minimize the heaviest
+// worker, so every cross-worker edge flows from a lower worker to a higher
+// one and the workers pipeline successive steady iterations. Pipelined
+// plans keep longest-processing-time bin-packing over stage clusters (their
+// stage skew already overlaps iterations). g2 and s2 must be the
 // flattening and schedule of plan.Program.
 func (p *ExecPlan) Assign(g2 *ir.Graph, s2 *sched.Schedule) []int {
 	return p.AssignN(g2, s2, p.Workers)
@@ -537,25 +541,26 @@ func (p *ExecPlan) AssignMeasured(g2 *ir.Graph, s2 *sched.Schedule, workers int,
 		workers = 1
 	}
 	nodeW := p.nodeWeights(g2, s2, perFiringNS)
-	// Packing units: single nodes, except that pipelined plans keep every
-	// stage cluster (feedback cycles, messaging hulls) whole — its members
-	// must fire as a unit on one worker.
+	if !p.Pipelined {
+		return chainCut(g2, s2, nodeW, workers)
+	}
+	// Packing units: single nodes, except that every stage cluster
+	// (feedback cycles, messaging hulls) stays whole — its members must
+	// fire as a unit on one worker.
 	type unit struct {
 		members []int
 		w       int64
 	}
 	var units []unit
 	grouped := make([]bool, len(g2.Nodes))
-	if p.Pipelined {
-		if sp, err := PipelineStages(g2); err == nil {
-			for _, c := range sp.Clusters {
-				u := unit{members: c}
-				for _, id := range c {
-					u.w += nodeW[id]
-					grouped[id] = true
-				}
-				units = append(units, u)
+	if sp, err := PipelineStages(g2); err == nil {
+		for _, c := range sp.Clusters {
+			u := unit{members: c}
+			for _, id := range c {
+				u.w += nodeW[id]
+				grouped[id] = true
 			}
+			units = append(units, u)
 		}
 	}
 	for _, n := range g2.Nodes {

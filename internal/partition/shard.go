@@ -2,26 +2,27 @@ package partition
 
 import (
 	"fmt"
-	"sort"
 
 	"streamit/internal/ir"
 	"streamit/internal/sched"
 	"streamit/internal/wfunc"
 )
 
-// Shard-aware assignment: the distributed runtime packs one exec plan
-// onto shards × perShard workers in two LPT levels — nodes onto shards
-// first (minimizing the per-shard bottleneck, which is what bounds a
-// lockstep epoch), then each shard's nodes onto its local workers.
-// Worker numbering is global and contiguous per shard: worker w runs on
-// shard w/perShard, so the same assignment drives every shard's engine
-// (each masks its own worker range via Options.LocalWorkers) and the
-// coordinator's bookkeeping. Like AssignN/AssignMeasured this re-packs
-// the SAME rewritten graph — the fingerprint never changes, which is what
-// lets crash recovery move a dead shard's partitions onto survivors and
-// restore the last barrier image unchanged.
+// Shard-aware assignment: the distributed runtime packs one lockstep
+// exec plan onto shards × perShard global workers with the same chain cut
+// as a single process (chainCut), into shards × perShard runs. Worker
+// numbering is global and contiguous per shard: worker w runs on shard
+// w/perShard, so shard s owns the consecutive runs [s·perShard,
+// (s+1)·perShard) and every cross-shard edge flows from a lower-numbered
+// shard to a higher-numbered one. The same assignment drives every
+// shard's engine (each masks its own worker range via
+// Options.LocalWorkers) and the coordinator's bookkeeping. Like
+// AssignN/AssignMeasured this re-packs the SAME rewritten graph — the
+// fingerprint never changes, which is what lets crash recovery move a
+// dead shard's partitions onto survivors and restore the last barrier
+// image unchanged.
 
-// nodeWeights estimates per-node steady-iteration work for LPT packing:
+// nodeWeights estimates per-node steady-iteration work for packing:
 // plan work estimates (or kernel cost estimates) scaled by repetitions
 // for filters, router cost for splitters/joiners, and — when live
 // measurements are supplied — measured per-firing nanoseconds rescaled
@@ -82,9 +83,9 @@ func (p *ExecPlan) nodeWeights(g2 *ir.Graph, s2 *sched.Schedule, perFiringNS map
 }
 
 // AssignSharded packs the rewritten graph onto shards × perShard global
-// workers in two LPT levels (shards first, then each shard's local
-// workers), optionally weighting by live measured work. Only lockstep
-// plans shard — pipelined stage skew would need cross-shard cycle gating.
+// workers as one chain cut, optionally weighting by live measured work.
+// Only lockstep plans shard — pipelined stage skew would need cross-shard
+// cycle gating.
 func (p *ExecPlan) AssignSharded(g2 *ir.Graph, s2 *sched.Schedule, shards, perShard int, perFiringNS map[string]int64) ([]int, error) {
 	if p.Pipelined {
 		return nil, fmt.Errorf("partition: pipelined plans cannot shard; use a lockstep strategy")
@@ -92,32 +93,5 @@ func (p *ExecPlan) AssignSharded(g2 *ir.Graph, s2 *sched.Schedule, shards, perSh
 	if shards < 1 || perShard < 1 {
 		return nil, fmt.Errorf("partition: sharded assignment wants >= 1 shards and workers per shard, got %d x %d", shards, perShard)
 	}
-	// Level 1: nodes onto shards. AssignMeasured's LPT minimizes the
-	// heaviest shard, which bounds the lockstep epoch's critical path.
-	byShard := p.AssignMeasured(g2, s2, shards, perFiringNS)
-	nodeW := p.nodeWeights(g2, s2, perFiringNS)
-
-	// Level 2: within each shard, the same LPT over its own nodes.
-	assign := make([]int, len(g2.Nodes))
-	for sh := 0; sh < shards; sh++ {
-		var ids []int
-		for id, s := range byShard {
-			if s == sh {
-				ids = append(ids, id)
-			}
-		}
-		sort.SliceStable(ids, func(i, j int) bool { return nodeW[ids[i]] > nodeW[ids[j]] })
-		loads := make([]int64, perShard)
-		for _, id := range ids {
-			best := 0
-			for w := 1; w < perShard; w++ {
-				if loads[w] < loads[best] {
-					best = w
-				}
-			}
-			assign[id] = sh*perShard + best
-			loads[best] += nodeW[id]
-		}
-	}
-	return assign, nil
+	return p.AssignMeasured(g2, s2, shards*perShard, perFiringNS), nil
 }

@@ -10,28 +10,7 @@ import (
 
 func buildShardedPlan(t *testing.T, strat Strategy, workers int) (*ExecPlan, *ir.Graph, *sched.Schedule) {
 	t.Helper()
-	prog := apps.FMRadio(4, 16)
-	g, err := ir.Flatten(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sched.Compute(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := BuildExecPlan(prog, g, s, ExecPlanOptions{Strategy: strat, Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ir.Flatten(plan.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := sched.Compute(g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return plan, g2, s2
+	return flatPlan(t, apps.FMRadio(4, 16), strat, workers)
 }
 
 // TestAssignSharded: every node lands in a valid global worker slot, both
@@ -139,5 +118,34 @@ func TestAssignShardedRejects(t *testing.T) {
 	}
 	if _, err := swp.AssignSharded(g2p, s2p, 2, 2, nil); err == nil {
 		t.Fatal("pipelined plans should be rejected")
+	}
+}
+
+// TestAssignShardedIsChain: the sharded assignment is one chain cut —
+// along a topological order each shard's nodes form one contiguous
+// block, shard 0 first, and every cross-shard edge flows from a
+// lower-numbered shard to a higher-numbered one.
+func TestAssignShardedIsChain(t *testing.T) {
+	for _, shape := range [][2]int{{2, 2}, {3, 2}, {2, 3}} {
+		shards, perShard := shape[0], shape[1]
+		plan, g2, s2 := buildShardedPlan(t, StratCoarseData, shards*perShard)
+		assign, err := plan.AssignSharded(g2, s2, shards, perShard, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order, err := g2.TopoOrder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(order); i++ {
+			if prev, cur := assign[order[i-1].ID]/perShard, assign[order[i].ID]/perShard; cur < prev {
+				t.Fatalf("%dx%d: shard %d resumes after shard %d at %s", shards, perShard, cur, prev, order[i].Name)
+			}
+		}
+		for _, e := range g2.Edges {
+			if src, dst := assign[e.Src.ID]/perShard, assign[e.Dst.ID]/perShard; src > dst {
+				t.Fatalf("%dx%d: edge %s flows from shard %d back to shard %d", shards, perShard, e, src, dst)
+			}
+		}
 	}
 }
